@@ -45,10 +45,8 @@ from .digraph import (
     Digraph,
     FormatError,
     VertexSet,
-    count_interior_restricted_paths,
     induced_subgraph,
     is_acyclic,
-    list_interior_restricted_paths,
     out_neighbors,
     parse_digraph,
     serialize_digraph,
@@ -69,11 +67,11 @@ from .structure import (
     RootedTree,
     ViolationReport,
     build_tree,
-    check_p_path_uniqueness,
     check_tree_consistency,
     detect_i_cycles,
     require_valid,
     validate_gic,
+    walk_p_paths,
 )
 
 __version__ = "0.1.0"

@@ -83,23 +83,29 @@ def chordless_cycles(adj: list[int], mask: int) -> Iterator[tuple[int, tuple[int
     on a complete digraph only the digons survive.
     """
     radj = in_masks(adj)
-
-    def walk(s: int, sbit: int, allowed: int, v: int, path: tuple[int, ...], path_mask: int):
-        for u in bits_of(adj[v] & allowed & ~path_mask):
-            ubit = 1 << u
-            if radj[u] & (path_mask ^ (1 << v)):
-                continue  # some earlier path vertex already points at u
-            if adj[u] & (path_mask ^ sbit):
-                continue  # u points back into the path interior
-            if adj[u] & sbit:
-                yield (path_mask | ubit, path + (u,))
-            else:
-                yield from walk(s, sbit, allowed, u, path + (u,), path_mask | ubit)
-
     for s in bits_of(mask):
         sbit = 1 << s
         allowed = mask & ~(sbit - 1)  # canonical root: minimum vertex of the cycle
-        yield from walk(s, sbit, allowed, s, (s,), sbit)
+        path = [s]
+        path_mask = sbit
+        stack = [bits_of(adj[s] & allowed & ~sbit)]  # candidate heads per path vertex
+        while stack:
+            for u in stack[-1]:
+                ubit = 1 << u
+                if radj[u] & (path_mask ^ (1 << path[-1])):
+                    continue  # some earlier path vertex already points at u
+                if adj[u] & (path_mask ^ sbit):
+                    continue  # u points back into the path interior
+                if adj[u] & sbit:
+                    yield (path_mask | ubit, (*path, u))
+                else:
+                    path.append(u)
+                    path_mask |= ubit
+                    stack.append(bits_of(adj[u] & allowed & ~path_mask))
+                    break
+            else:
+                stack.pop()
+                path_mask ^= 1 << path.pop()
 
 
 def max_disjoint_cycles(cycle_masks: list[int], mask0: int) -> int:

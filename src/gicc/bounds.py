@@ -9,12 +9,20 @@ code length then meets the lower bound, squeezing the optimum.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import _cycles
 from .digraph import Digraph, VertexSet, bits_of, induced_subgraph
-from .structure import GicStructure, ViolationReport, validate_gic
+from .structure import (
+    GicStructure,
+    TreeConstructionError,
+    ViolationReport,
+    build_tree,
+    validate_gic,
+)
 
 DEFAULT_MAIS_LIMIT = 30
 DEFAULT_MINRANK_ARC_LIMIT = 24
@@ -112,17 +120,7 @@ def minrank_gf2(d: Digraph, max_arcs: int = DEFAULT_MINRANK_ARC_LIMIT) -> int:
     adj = _cycles.out_masks(d)
     lower = _mais_masks(adj, (1 << n) - 1)
 
-    def rank_of(rows: Iterable[int]) -> int:
-        basis: dict[int, int] = {}
-        rank = 0
-        for row in rows:
-            row = _reduce(row, basis)
-            if row:
-                basis[row.bit_length() - 1] = row
-                rank += 1
-        return rank
-
-    best = min(n, rank_of(1 << i | adj[i] for i in range(n)))
+    best = min(n, gf2_rank(1 << i | adj[i] for i in range(n)))
     if best == lower:
         return best
 
@@ -282,11 +280,16 @@ def _assign_groups(
         if own_mask & avail != own_mask:
             return None
         # the group may borrow non-inner vertices from the pool, never
-        # inner vertices of other groups
-        allowed = (avail & ~inner_mask) | own_mask
-        members = _canonical_group_vertices(d, group, allowed)
-        if members is None:
-            return None
+        # inner vertices of other groups; its vertices are the union of
+        # its breadth-first trees inside that allowance
+        allowed = [v + 1 for v in bits_of((avail & ~inner_mask) | own_mask)]
+        members: tuple[int, ...] = tuple(group)
+        if len(group) > 1:
+            try:
+                trees = [build_tree(d, group, root, allowed) for root in group]
+            except TreeConstructionError:
+                return None
+            members = tuple(sorted(set().union(*(t.vertices for t in trees))))
         sub, originals = induced_subgraph(d, members)
         local_inner = frozenset(originals.index(v) + 1 for v in group)
         result = validate_gic(sub, local_inner)
@@ -304,43 +307,6 @@ def _assign_groups(
         return grow(idx + 1, avail & ~used, acc + [{"inner": group, "vertices": list(members)}])
 
     return grow(0, pool, [])
-
-
-def _canonical_group_vertices(
-    d: Digraph, group: list[int], allowed: int
-) -> tuple[int, ...] | None:
-    """Union of breadth-first trees for the group inside `allowed`, or None."""
-    if len(group) == 1:
-        return (group[0],)
-    group_set = frozenset(group)
-    members: set[int] = set(group)
-    for root in group:
-        parent: dict[int, int] = {}
-        order = [root]
-        seen = {root}
-        queue = 0
-        while queue < len(order):
-            v = order[queue]
-            queue += 1
-            if v != root and v in group_set:
-                continue
-            for u in d.out_sorted(v):
-                if not (allowed >> (u - 1)) & 1 or u in seen:
-                    continue
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
-        missing = group_set - {root} - parent.keys()
-        if missing:
-            return None
-        keep = {root}
-        for leaf in group_set - {root}:
-            v = leaf
-            while v not in keep:
-                keep.add(v)
-                v = parent[v]
-        members |= keep
-    return tuple(sorted(members))
 
 
 def _set_partitions(items: list[int], blocks: int):
@@ -390,9 +356,6 @@ def conjecture_sweep(
     validated structure with mais < N - K + 1 is reported; none is
     asserted to exist or not exist.
     """
-    import random as _random
-    from itertools import combinations as _combinations
-
     checked = 0
     validated = 0
     digraph_count = 0
@@ -402,7 +365,7 @@ def conjecture_sweep(
         nonlocal checked, validated
         bound: int | None = None
         for k in range(2, d.n + 1):
-            for inner in _combinations(range(1, d.n + 1), k):
+            for inner in combinations(range(1, d.n + 1), k):
                 checked += 1
                 result = validate_gic(d, frozenset(inner))
                 if isinstance(result, ViolationReport):
@@ -423,7 +386,7 @@ def conjecture_sweep(
             digraph_count += 1
             inspect(Digraph(n, arcs))
 
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for _ in range(samples):
         arcs = [
             (i, j)

@@ -18,7 +18,7 @@ from typing import Iterable
 from . import _cycles
 from .bounds import SizeGateError
 from .codec import MessageVector, round_trip
-from .digraph import Digraph, VertexSet, bits_of, induced_subgraph, is_acyclic
+from .digraph import Digraph, VertexSet, bits_of, induced_subgraph
 from .structure import (
     GicStructure,
     TreeConstructionError,
@@ -48,9 +48,6 @@ class CoverPart:
     @property
     def k(self) -> int:
         return len(self.inner)
-
-    def local_label(self, original: int) -> int:
-        return self.vertices.index(original) + 1
 
     def local_messages(self, m: MessageVector) -> MessageVector:
         return MessageVector(m.t, tuple(m.payloads[v - 1] for v in self.vertices))
@@ -200,8 +197,10 @@ def _cover_greedy(d: Digraph, budget: int, seed: int) -> CoverPlan:
 
     while len(remaining) >= 2:
         originals = tuple(sorted(remaining))
-        sub, _ = induced_subgraph(d, originals)
-        if is_acyclic(sub):
+        mask = 0
+        for v in originals:
+            mask |= 1 << (v - 1)
+        if _cycles.is_acyclic_mask(adj, mask):
             break
         found: CoverPart | None = None
         sizes = list(range(len(originals), 1, -1))
@@ -211,24 +210,20 @@ def _cover_greedy(d: Digraph, budget: int, seed: int) -> CoverPlan:
             allowance = max(4, (budget - attempts) // max(1, k - 1))
             total = comb(len(originals), k)
             if total <= allowance:
-                candidates = combinations(range(1, len(originals) + 1), k)
+                candidates = combinations(originals, k)
             else:
                 candidates = (
-                    tuple(sorted(rng.sample(range(1, len(originals) + 1), k)))
-                    for _ in range(allowance)
+                    tuple(sorted(rng.sample(originals, k))) for _ in range(allowance)
                 )
-            for inner_local in candidates:
+            for inner in candidates:
                 attempts += 1
-                found = _try_part(d, sub, originals, frozenset(inner_local))
+                found = _try_part(d, remaining, frozenset(inner))
                 if found is not None or attempts >= budget:
                     break
             if found is not None:
                 break
         if found is None:
             # guaranteed fallback: a chordless cycle is always a valid 2-GIC
-            mask = 0
-            for v in remaining:
-                mask |= 1 << (v - 1)
             cycle = next(_cycles.chordless_cycles(adj, mask), None)
             if cycle is None:
                 break
@@ -243,20 +238,13 @@ def _cover_greedy(d: Digraph, budget: int, seed: int) -> CoverPlan:
     return CoverPlan(d.n, tuple(parts), frozenset(d.vertices()) - covered)
 
 
-def _try_part(
-    d: Digraph, sub: Digraph, originals: tuple[int, ...], inner_local: VertexSet
-) -> CoverPart | None:
-    """Grow a part from candidate inner vertices inside the uncovered sub-digraph."""
+def _try_part(d: Digraph, remaining: set[int], inner: VertexSet) -> CoverPart | None:
+    """Grow a part from candidate inner vertices inside the uncovered vertices."""
     try:
-        trees = [build_tree(sub, inner_local, root) for root in sorted(inner_local)]
+        trees = [build_tree(d, inner, root, remaining) for root in sorted(inner)]
     except TreeConstructionError:
         return None
-    part_local: set[int] = set()
-    for tree in trees:
-        part_local |= tree.vertices
-    part_original = tuple(originals[v - 1] for v in sorted(part_local))
-    inner_original = frozenset(originals[v - 1] for v in inner_local)
-    return _make_part(d, part_original, inner_original)
+    return _make_part(d, set().union(*(t.vertices for t in trees)), inner)
 
 
 @dataclass(frozen=True)

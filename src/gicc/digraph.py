@@ -1,4 +1,4 @@
-"""Side-information digraphs and the path machinery built on them.
+"""Side-information digraphs: parsing, serialization and basic queries.
 
 A digraph models one sender broadcasting N messages to N receivers:
 vertex i stands for the receiver requesting message i, and an arc
@@ -17,8 +17,6 @@ from typing import Iterable, Iterator
 
 VertexSet = frozenset[int]
 Path = tuple[int, ...]
-
-DEFAULT_PATH_CAP = 10**6
 
 _HEADER_RE = re.compile(r"^n=(\d+)$")
 _ARC_RE = re.compile(r"^(\d+) -> (\d+(?: \d+)*)$")
@@ -200,140 +198,6 @@ def topological_order(d: Digraph) -> tuple[int, ...] | None:
 def is_acyclic(d: Digraph) -> bool:
     """True iff d contains no directed cycle."""
     return topological_order(d) is not None
-
-
-def _check_endpoints(
-    d: Digraph, frm: int, to: int, allowed_interior: Iterable[int]
-) -> VertexSet:
-    d._check_vertex(frm)
-    d._check_vertex(to)
-    if frm == to:
-        raise ValueError("path endpoints must be distinct")
-    interior = frozenset(allowed_interior)
-    for v in interior:
-        d._check_vertex(v)
-    if frm in interior or to in interior:
-        raise ValueError("path endpoints may not be interior vertices")
-    return interior
-
-
-def count_interior_restricted_paths(
-    d: Digraph,
-    frm: int,
-    to: int,
-    allowed_interior: Iterable[int],
-    cap: int = DEFAULT_PATH_CAP,
-) -> int:
-    """Count simple frm->to paths with all internal vertices in allowed_interior.
-
-    The count saturates at cap + 1: a return value of cap + 1 means
-    "more than cap paths" (overflow is a distinguished value, not an
-    error).  When the sub-digraph induced by the interior set is
-    acyclic the count is obtained by dynamic programming, otherwise by
-    depth-first enumeration; both agree wherever both apply.
-    """
-    interior = _check_endpoints(d, frm, to, allowed_interior)
-    if cap < 1:
-        raise ValueError("cap must be positive")
-
-    order = _interior_topological_order(d, interior)
-    if order is not None:
-        # paths_to_target[v] = number of v -> to paths inside interior + {to}
-        paths_to_target = {v: 0 for v in interior}
-        for v in reversed(order):
-            total = 0
-            for u in d.out_sorted(v):
-                if u == to:
-                    total += 1
-                elif u in interior:
-                    total += paths_to_target[u]
-            paths_to_target[v] = total
-        count = 0
-        for u in d.out_sorted(frm):
-            if u == to:
-                count += 1
-            elif u in interior:
-                count += paths_to_target[u]
-        return min(count, cap + 1)
-
-    count = 0
-    visited = {frm}
-
-    def walk(v: int) -> bool:
-        nonlocal count
-        for u in d.out_sorted(v):
-            if u == to:
-                count += 1
-                if count > cap:
-                    return False
-            elif u in interior and u not in visited:
-                visited.add(u)
-                alive = walk(u)
-                visited.discard(u)
-                if not alive:
-                    return False
-        return True
-
-    walk(frm)
-    return min(count, cap + 1)
-
-
-def _interior_topological_order(d: Digraph, interior: VertexSet) -> tuple[int, ...] | None:
-    """Topological order of the sub-digraph induced by `interior`, else None."""
-    indeg = {v: 0 for v in interior}
-    for tail, head in d.arcs:
-        if tail in interior and head in interior:
-            indeg[head] += 1
-    queue = deque(sorted(v for v in interior if indeg[v] == 0))
-    order: list[int] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for u in d.out_sorted(v):
-            if u in interior:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    queue.append(u)
-    return tuple(order) if len(order) == len(interior) else None
-
-
-def list_interior_restricted_paths(
-    d: Digraph,
-    frm: int,
-    to: int,
-    allowed_interior: Iterable[int],
-    limit: int,
-) -> tuple[Path, ...]:
-    """Enumerate up to `limit` simple frm->to paths with interior in the given set.
-
-    Paths are produced in depth-first lexicographic order, so the
-    result is deterministic; used to build violation witnesses.
-    """
-    interior = _check_endpoints(d, frm, to, allowed_interior)
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    found: list[Path] = []
-    prefix = [frm]
-    visited = {frm}
-
-    def walk(v: int) -> bool:
-        for u in d.out_sorted(v):
-            if u == to:
-                found.append(tuple(prefix) + (to,))
-                if len(found) >= limit:
-                    return False
-            elif u in interior and u not in visited:
-                visited.add(u)
-                prefix.append(u)
-                alive = walk(u)
-                prefix.pop()
-                visited.discard(u)
-                if not alive:
-                    return False
-        return True
-
-    walk(frm)
-    return tuple(found)
 
 
 def format_vertex_set(vs: Iterable[int]) -> str:

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .digraph import (
-    DEFAULT_PATH_CAP,
-    Digraph,
-    VertexSet,
-    count_interior_restricted_paths,
-    format_vertex_set,
-    list_interior_restricted_paths,
-    out_neighbors,
-)
+from .digraph import Digraph, Path, VertexSet, format_vertex_set, out_neighbors
 
 
 class TreeConstructionError(ValueError):
@@ -107,8 +99,7 @@ class RootedTree:
 class ViolationReport:
     """Why (digraph, inner set) is not a valid structure, with a replayable witness."""
 
-    kind: str  # inner-pair-unreachable | i-cycle | p-path-multiplicity |
-    #            extra-arc | tree-construction-failure
+    kind: str  # inner-pair-unreachable | i-cycle | p-path-multiplicity | extra-arc
     witness: dict
 
     def describe(self) -> str:
@@ -125,10 +116,7 @@ class ViolationReport:
             paths = "; ".join(
                 " -> ".join(str(v) for v in p) for p in w["paths"]
             )
-            extra = " (count hit the enumeration cap)" if w.get("overflow") else ""
-            return (
-                f"multiple P-paths from {w['from']} to {w['to']}{extra}: {paths}"
-            )
+            return f"multiple P-paths from {w['from']} to {w['to']}: {paths}"
         if self.kind == "extra-arc":
             parts = []
             if w["arcs"]:
@@ -141,11 +129,6 @@ class ViolationReport:
                     "vertices in no tree: " + format_vertex_set(w["vertices"])
                 )
             return "; ".join(parts)
-        if self.kind == "tree-construction-failure":
-            return (
-                f"tree rooted at {w['root']} cannot reach "
-                + format_vertex_set(w["missing"])
-            )
         return f"{self.kind}: {w}"
 
     def to_record(self) -> dict:
@@ -172,12 +155,16 @@ class GicStructure:
         return self.trees[root]
 
 
-def build_tree(d: Digraph, inner: Iterable[int], root: int) -> RootedTree:
+def build_tree(
+    d: Digraph, inner: Iterable[int], root: int, allowed: Iterable[int] | None = None
+) -> RootedTree:
     """Breadth-first tree from `root` that stops expanding at inner vertices.
 
     Inner vertices other than the root become leaves; the result is
     pruned to the branches that terminate at inner leaves.  Ties are
-    broken by ascending label, so construction is deterministic.
+    broken by ascending label, so construction is deterministic.  When
+    `allowed` is given, the tree enters no vertex outside it, which
+    equals building the tree on the sub-digraph `allowed` induces.
     Raises TreeConstructionError when some inner vertex is unreachable
     without crossing another inner vertex.
     """
@@ -187,6 +174,7 @@ def build_tree(d: Digraph, inner: Iterable[int], root: int) -> RootedTree:
     others = inner_set - {root}
     if not others:
         raise ValueError("tree construction needs at least two inner vertices")
+    allowed_set = None if allowed is None else frozenset(allowed)
 
     parent: dict[int, int] = {}
     depth: dict[int, int] = {root: 0}
@@ -196,7 +184,7 @@ def build_tree(d: Digraph, inner: Iterable[int], root: int) -> RootedTree:
         if v != root and v in inner_set:
             continue  # inner vertices are leaves, never expanded
         for u in d.out_sorted(v):
-            if u in depth:
+            if u in depth or (allowed_set is not None and u not in allowed_set):
                 continue
             parent[u] = v
             depth[u] = depth[v] + 1
@@ -269,21 +257,42 @@ def _witness_i_cycle(d: Digraph, inner: VertexSet, i: int) -> tuple[int, ...]:
     raise AssertionError("witness requested for a vertex with no I-cycle")
 
 
-def check_p_path_uniqueness(
-    d: Digraph, inner: Iterable[int], cap: int = DEFAULT_PATH_CAP
-) -> dict[tuple[int, int], int]:
-    """P-path count for every ordered inner pair (saturating at cap + 1)."""
+def walk_p_paths(
+    d: Digraph, inner: Iterable[int], root: int
+) -> tuple[int, tuple[Path, Path]] | VertexSet:
+    """Depth-first walk over the P-paths leaving `root`, on an explicit stack.
+
+    Out-neighbors are visited in ascending order and the other inner
+    vertices are leaves, so P-paths are found in lexicographic order.
+    Returns (target, paths) as soon as some target gains a second
+    P-path, with the first two P-paths to it; otherwise returns the set
+    of targets reached, each by exactly one P-path.
+    """
     inner_set = frozenset(inner)
-    if len(inner_set) < 2:
-        raise ValueError("need at least two inner vertices")
-    non_inner = frozenset(d.vertices()) - inner_set
-    ordered = sorted(inner_set)
-    return {
-        (i, j): count_interior_restricted_paths(d, i, j, non_inner, cap)
-        for i in ordered
-        for j in ordered
-        if i != j
-    }
+    if root not in inner_set:
+        raise ValueError(f"root {root} is not an inner vertex")
+    first: dict[int, Path] = {}
+    path = [root]
+    on_path = {root}
+    stack = [iter(d.out_sorted(root))]
+    while stack:
+        for u in stack[-1]:
+            if u in inner_set:
+                if u == root:
+                    continue
+                found = (*path, u)
+                if u in first:
+                    return u, (first[u], found)
+                first[u] = found
+            elif u not in on_path:
+                path.append(u)
+                on_path.add(u)
+                stack.append(iter(d.out_sorted(u)))
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+    return frozenset(first)
 
 
 def validate_gic(d: Digraph, inner: Iterable[int]) -> GicStructure | ViolationReport:
@@ -291,9 +300,15 @@ def validate_gic(d: Digraph, inner: Iterable[int]) -> GicStructure | ViolationRe
 
     Returns the structure with its breadth-first trees on success, or a
     ViolationReport carrying a concrete counterexample.  Checks run in
-    order: no I-cycle, P-path uniqueness per ordered pair, tree
-    construction, and finally coverage (every vertex and arc of d must
-    appear in the tree union).
+    order: no I-cycle, exactly one P-path per ordered inner pair, and
+    finally coverage (every vertex and arc of d must appear in the tree
+    union).
+
+    P-paths are checked by one walk_p_paths walk per root, roots in
+    ascending order.  The first root with a violation is reported: the
+    first target to gain a second P-path in the walk's lexicographic
+    order ("p-path-multiplicity"), else the smallest target without a
+    P-path ("inner-pair-unreachable").
     """
     inner_set = frozenset(inner)
     if not inner_set:
@@ -328,36 +343,21 @@ def validate_gic(d: Digraph, inner: Iterable[int]) -> GicStructure | ViolationRe
             {"inner_vertex": i, "cycle": list(_witness_i_cycle(d, inner_set, i))},
         )
 
-    non_inner = frozenset(d.vertices()) - inner_set
-    for i in sorted(inner_set):
-        for j in sorted(inner_set):
-            if i == j:
-                continue
-            paths = list_interior_restricted_paths(d, i, j, non_inner, limit=2)
-            if not paths:
-                return ViolationReport(
-                    "inner-pair-unreachable", {"from": i, "to": j}
-                )
-            if len(paths) > 1:
-                return ViolationReport(
-                    "p-path-multiplicity",
-                    {
-                        "from": i,
-                        "to": j,
-                        "paths": [list(p) for p in paths],
-                        "overflow": False,
-                    },
-                )
-
-    trees: dict[int, RootedTree] = {}
     for root in sorted(inner_set):
-        try:
-            trees[root] = build_tree(d, inner_set, root)
-        except TreeConstructionError as exc:  # unreachable after the pair check
+        reached = walk_p_paths(d, inner_set, root)
+        if isinstance(reached, tuple):
+            target, paths = reached
             return ViolationReport(
-                "tree-construction-failure",
-                {"root": root, "missing": sorted(exc.missing)},
+                "p-path-multiplicity",
+                {"from": root, "to": target, "paths": [list(p) for p in paths]},
             )
+        missing = inner_set - reached - {root}
+        if missing:
+            return ViolationReport(
+                "inner-pair-unreachable", {"from": root, "to": min(missing)}
+            )
+
+    trees = {root: build_tree(d, inner_set, root) for root in sorted(inner_set)}
 
     covered_arcs: set[tuple[int, int]] = set()
     covered_vertices: set[int] = set()

@@ -40,6 +40,26 @@ def paths_with_interior(
     ]
 
 
+def p_path_walk_expected(d: Digraph, inner: frozenset[int], root: int):
+    """What the P-path walk from `root` must return, read off the enumeration.
+
+    Per target: its P-paths in lexicographic order.  When some target
+    has two or more, the answer is the target whose second P-path is
+    smallest, with its two smallest P-paths; otherwise the set of
+    targets with exactly one.
+    """
+    non_inner = frozenset(d.vertices()) - inner
+    paths = {
+        t: sorted(paths_with_interior(d, root, t, non_inner))
+        for t in sorted(inner - {root})
+    }
+    multiple = [t for t, ps in paths.items() if len(ps) >= 2]
+    if multiple:
+        target = min(multiple, key=lambda t: paths[t][1])
+        return target, tuple(paths[target][:2])
+    return frozenset(t for t, ps in paths.items() if ps)
+
+
 def has_cycle_coloring(d: Digraph) -> bool:
     """Cycle detection by three-color depth-first search."""
     WHITE, GRAY, BLACK = 0, 1, 2

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gicc
 from gicc.cli import main
 from gicc.digraph import parse_digraph, serialize_digraph
-from gicc.generators import gen_demo_4gic, gen_relay_family
+from gicc.generators import gen_cycle, gen_demo_4gic, gen_relay_family
 
 
 @pytest.fixture()
@@ -235,3 +240,39 @@ class TestSweep:
 
     def test_gate(self, capsys):
         assert main(["sweep", "--max-exhaustive-n", "5"]) == 3
+
+
+# arguments and expected exit code per command; bounds and compare stop
+# at the exact-MAIS size gate (exit 3).  Small budgets and trial counts
+# keep the runs short: the cover still falls back to a chordless cycle.
+LONG_CYCLE_RUNS = {
+    "validate": (["--inner", "1,2"], 0),
+    "cover": (["--budget", "50"], 0),
+    "encode": (["--inner", "1,2", "--random", "--t", "8", "--seed", "1"], 0),
+    "verify": (["--inner", "1,2", "--trials", "1"], 0),
+    "bounds": (["--inner", "1,2"], 3),
+    "compare": (["--inner", "1,2"], 3),
+}
+
+
+@pytest.fixture(scope="module")
+def cycle5000_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "cycle5000.graph"
+    path.write_text(serialize_digraph(gen_cycle(5000)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(LONG_CYCLE_RUNS))
+def test_long_cycle_runs_without_traceback(command, cycle5000_file):
+    args, expected = LONG_CYCLE_RUNS[command]
+    paths = [str(Path(gicc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gicc.cli", command, cycle5000_file, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == expected, proc.stderr

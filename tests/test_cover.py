@@ -78,6 +78,10 @@ class TestGiccCover:
         with pytest.raises(ValueError):
             gicc_cover(TWO_DIGONS, effort=0)
 
+    def test_long_cycle_is_one_part(self):
+        # the chordless-cycle fallback walks a 2000-vertex path
+        assert gicc_cover(gen_cycle(2000)).length == 1999
+
     def test_exact_beats_or_matches_baselines(self):
         for seed in range(30):
             d = gen_random(4 + seed % 4, 0.25 + 0.05 * (seed % 3), seed + 50)

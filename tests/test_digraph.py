@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 from gicc.digraph import (
     Digraph,
     FormatError,
-    count_interior_restricted_paths,
     induced_subgraph,
     is_acyclic,
-    list_interior_restricted_paths,
     out_neighbors,
     parse_digraph,
     serialize_digraph,
     topological_order,
 )
 from gicc.generators import gen_demo_4gic, gen_relay_family
+from gicc.structure import walk_p_paths
 
-from .oracles import has_cycle_coloring, paths_with_interior
+from .oracles import has_cycle_coloring, p_path_walk_expected, paths_with_interior
 
 DIGON = Digraph.from_arcs(2, [(1, 2), (2, 1)])
 
@@ -189,53 +188,70 @@ class TestAcyclicity:
 
 
 class TestPathCounting:
+    """P-path counts (0, 1, >= 2) from the per-root walk, against the oracle."""
+
     def test_demo_single_interior_path(self):
-        d, _ = gen_demo_4gic()
-        assert count_interior_restricted_paths(d, 1, 3, {5, 6}) == 1
-        assert list_interior_restricted_paths(d, 1, 3, {5, 6}, limit=5) == ((1, 5, 3),)
+        d, inner = gen_demo_4gic()
+        assert walk_p_paths(d, inner, 1) == {2, 3, 4}
+        # a second 1 -> 3 path via 6 exposes the first one, 1 -> 5 -> 3
+        target, paths = walk_p_paths(Digraph(d.n, d.arcs | {(1, 6)}), inner, 1)
+        assert (target, paths) == (3, ((1, 5, 3), (1, 6, 3)))
 
     def test_digon_direct_arc(self):
-        assert count_interior_restricted_paths(DIGON, 1, 2, frozenset()) == 1
+        assert walk_p_paths(DIGON, {1, 2}, 1) == {2}
+        assert walk_p_paths(DIGON, {1, 2}, 2) == {1}
 
     def test_demo_reverse_direct(self):
-        d, _ = gen_demo_4gic()
-        assert count_interior_restricted_paths(d, 3, 1, {5, 6}) == 1
+        d, inner = gen_demo_4gic()
+        assert walk_p_paths(d, inner, 3) == {1, 2, 4}
 
     def test_rejects_equal_endpoints(self):
-        with pytest.raises(ValueError):
-            count_interior_restricted_paths(DIGON, 1, 1, frozenset())
+        # 1 -> 3 -> 1 closes a cycle at the root: no P-path, no target
+        d = Digraph.from_arcs(3, [(1, 3), (3, 1), (3, 2), (2, 1)])
+        assert walk_p_paths(d, {1, 2}, 1) == {2}
+        assert p_path_walk_expected(d, frozenset({1, 2}), 1) == {2}
 
     def test_rejects_endpoint_in_interior(self):
+        # 2 is inner, so 1 -> 2 -> 3 is no P-path from 1 to 3
+        d = Digraph.from_arcs(3, [(1, 2), (2, 3)])
+        assert walk_p_paths(d, {1, 2, 3}, 1) == {2}
         with pytest.raises(ValueError):
-            count_interior_restricted_paths(DIGON, 1, 2, {1})
+            walk_p_paths(d, {1, 3}, 2)
 
-    def test_overflow_saturates_at_cap_plus_one(self):
+    def test_stops_at_second_path(self):
         # complete bidirectional digraph on 6 vertices has 65 simple 1->2 paths
         n = 6
         d = Digraph.from_arcs(
             n, ((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
         )
-        interior = frozenset(range(3, n + 1))
-        exact = count_interior_restricted_paths(d, 1, 2, interior)
-        assert exact == len(paths_with_interior(d, 1, 2, interior))
-        assert count_interior_restricted_paths(d, 1, 2, interior, cap=10) == 11
+        inner = frozenset({1, 2})
+        assert len(paths_with_interior(d, 1, 2, frozenset(range(3, n + 1)))) == 65
+        assert walk_p_paths(d, inner, 1) == (2, ((1, 2), (1, 3, 2)))
+        assert walk_p_paths(d, inner, 1) == p_path_walk_expected(d, inner, 1)
 
     def test_matches_enumeration_oracle(self):
-        for seed in range(60):
+        outcomes = {"multiple": 0, "unique": 0, "unreachable": 0}
+        for seed in range(300):
             n = 3 + seed % 6
-            d = random_digraph(n, 0.35, seed + 1000)
-            frm, to = 1, 2
-            interior = frozenset(range(3, n + 1))
-            expected = len(paths_with_interior(d, frm, to, interior))
-            assert count_interior_restricted_paths(d, frm, to, interior) == expected
-            got = list_interior_restricted_paths(d, frm, to, interior, limit=10**6)
-            assert sorted(got) == sorted(paths_with_interior(d, frm, to, interior))
+            d = random_digraph(n, 0.2 + 0.05 * (seed % 5), seed + 1000)
+            rng = random.Random(seed)
+            inner = frozenset(rng.sample(range(1, n + 1), rng.randint(2, n)))
+            for root in sorted(inner):
+                expected = p_path_walk_expected(d, inner, root)
+                assert walk_p_paths(d, inner, root) == expected
+                if isinstance(expected, tuple):
+                    outcomes["multiple"] += 1
+                else:
+                    outcomes["unique"] += len(expected)
+                    outcomes["unreachable"] += len(inner) - 1 - len(expected)
+        assert min(outcomes.values()) >= 50, outcomes
 
     def test_restricted_interior_subsets(self):
-        # interior restriction must drop exactly the paths that leave the set
+        # inner 5 and 6 are leaves, so only paths with interior in {3, 4} count
+        inner = frozenset({1, 2, 5, 6})
         for seed in range(40):
-            n = 6
-            d = random_digraph(n, 0.4, seed + 2000)
-            interior = frozenset({3, 4})
-            expected = len(paths_with_interior(d, 1, 2, interior))
-            assert count_interior_restricted_paths(d, 1, 2, interior) == expected
+            d = random_digraph(6, 0.4, seed + 2000)
+            for root in sorted(inner):
+                assert walk_p_paths(d, inner, root) == p_path_walk_expected(
+                    d, inner, root
+                )

@@ -1,20 +1,21 @@
 import pytest
 
+from gicc.cover import icc_to_gic
 from gicc.digraph import Digraph, induced_subgraph, is_acyclic, out_neighbors
-from gicc.generators import gen_cycle, gen_demo_4gic, gen_relay_family
+from gicc.generators import gen_cycle, gen_demo_4gic, gen_icc, gen_relay_family
 from gicc.structure import (
     GicStructure,
     TreeConstructionError,
     ViolationReport,
     build_tree,
-    check_p_path_uniqueness,
     check_tree_consistency,
     detect_i_cycles,
     require_valid,
     validate_gic,
+    walk_p_paths,
 )
 
-from .oracles import all_simple_cycles, paths_with_interior
+from .oracles import all_simple_cycles, p_path_walk_expected, paths_with_interior
 
 DIGON = Digraph.from_arcs(2, [(1, 2), (2, 1)])
 INNER4 = frozenset({1, 2, 3, 4})
@@ -64,6 +65,26 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree(DIGON, {1}, 2)
 
+    def test_allowed_mask_matches_induced_subgraph(self):
+        d, inner = gen_relay_family(4)
+        for drop in d.vertices():
+            if drop in inner:
+                continue
+            allowed = [v for v in d.vertices() if v != drop]
+            sub, originals = induced_subgraph(d, allowed)
+            local = frozenset(originals.index(v) + 1 for v in inner)
+            for root in sorted(inner):
+                try:
+                    tree = build_tree(sub, local, originals.index(root) + 1)
+                except TreeConstructionError:
+                    with pytest.raises(TreeConstructionError):
+                        build_tree(d, inner, root, allowed)
+                    continue
+                masked = build_tree(d, inner, root, allowed)
+                assert masked.parent_of == {
+                    originals[c - 1]: originals[p - 1] for c, p in tree.parent_of.items()
+                }
+
     def test_pruning_drops_dead_branches(self):
         # vertex 4 hangs off the digon but reaches no inner leaf
         d = Digraph.from_arcs(4, [(1, 2), (2, 1), (1, 4), (4, 3)])
@@ -86,25 +107,32 @@ class TestDetectICycles:
 class TestPPathUniqueness:
     def test_demo_all_pairs_unique(self):
         d, _ = gen_demo_4gic()
-        counts = check_p_path_uniqueness(d, INNER4)
-        assert len(counts) == 12
-        assert set(counts.values()) == {1}
+        for root in sorted(INNER4):
+            assert walk_p_paths(d, INNER4, root) == INNER4 - {root}
+            assert p_path_walk_expected(d, INNER4, root) == INNER4 - {root}
 
     def test_digon(self):
-        assert check_p_path_uniqueness(DIGON, {1, 2}) == {(1, 2): 1, (2, 1): 1}
+        assert walk_p_paths(DIGON, {1, 2}, 1) == {2}
+        assert walk_p_paths(DIGON, {1, 2}, 2) == {1}
 
     def test_extra_arc_doubles_a_pair(self):
         d, _ = gen_demo_4gic()
-        counts = check_p_path_uniqueness(with_extra_arc(d, (1, 6)), INNER4)
-        assert counts[(1, 3)] == 2
+        d = with_extra_arc(d, (1, 6))
+        target, paths = walk_p_paths(d, INNER4, 1)
+        assert target == 3
+        assert paths == tuple(sorted(paths_with_interior(d, 1, 3, frozenset({5, 6}))))
 
-    def test_cap_saturation(self):
-        n = 6
+    def test_validate_reports_two_smallest_paths(self):
+        # arcs forward along 1, 3, 4, 5, 6, 2 plus 2 -> 1: 16 P-paths 1 -> 2
+        order = (1, 3, 4, 5, 6, 2)
+        n = len(order)
         d = Digraph.from_arcs(
-            n, ((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+            n, [(2, 1)] + [(a, b) for x, a in enumerate(order) for b in order[x + 1:]]
         )
-        counts = check_p_path_uniqueness(d, {1, 2}, cap=3)
-        assert counts[(1, 2)] == 4  # cap + 1 means "more than cap"
+        r = validate_gic(d, {1, 2})
+        assert isinstance(r, ViolationReport) and r.kind == "p-path-multiplicity"
+        smallest = sorted(paths_with_interior(d, 1, 2, frozenset(range(3, n + 1))))[:2]
+        assert r.witness == {"from": 1, "to": 2, "paths": [list(p) for p in smallest]}
 
 
 class TestValidate:
@@ -167,6 +195,16 @@ class TestValidate:
         assert r.witness["arcs"] == [(3, 4), (4, 3)]
         assert r.witness["vertices"] == [3, 4]
 
+    def test_long_cycle_valid(self):
+        # far deeper than Python's recursion limit: the walks keep explicit stacks
+        g = validate_gic(gen_cycle(5000), {1, 2})
+        assert isinstance(g, GicStructure) and g.trees[2].height == 4999
+
+    def test_long_interlinked_paths_valid(self):
+        d, inner = icc_to_gic(gen_icc(3, path_lengths=(2000,) * 3, seed=1))
+        assert d.n == 6004
+        assert isinstance(validate_gic(d, inner), GicStructure)
+
     def test_validate_is_deterministic(self):
         d, inner = gen_relay_family(4)
         assert validate_gic(d, inner) == validate_gic(d, inner)
@@ -177,8 +215,8 @@ class TestValidate:
             if g.k < 2:
                 continue
             assert detect_i_cycles(d, g.inner) == frozenset()
-            counts = check_p_path_uniqueness(d, g.inner)
-            assert set(counts.values()) == {1}
+            for root in g.inner:
+                assert walk_p_paths(d, g.inner, root) == g.inner - {root}
             covered = set()
             for tree in g.trees.values():
                 covered |= tree.arcs()
