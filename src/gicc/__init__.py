@@ -39,18 +39,15 @@ from .cover import (
     gicc_cover,
     icc_to_gic,
     plan_round_trip,
-    savings,
 )
 from .digraph import (
     Digraph,
     FormatError,
     VertexSet,
     induced_subgraph,
-    is_acyclic,
     out_neighbors,
     parse_digraph,
     serialize_digraph,
-    topological_order,
 )
 from .generators import (
     DEMO_4GIC_REFERENCE_LENGTHS,
@@ -68,7 +65,6 @@ from .structure import (
     ViolationReport,
     build_tree,
     check_tree_consistency,
-    detect_i_cycles,
     require_valid,
     validate_gic,
     walk_p_paths,

@@ -7,7 +7,7 @@ Vertices are 0-based bit indices here; public modules translate to the
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .digraph import Digraph, bits_of
 
@@ -18,6 +18,14 @@ def out_masks(d: Digraph) -> list[int]:
     for tail, head in d.arcs:
         masks[tail - 1] |= 1 << (head - 1)
     return masks
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask with bit v-1 set for each 1-based label v; bits_of reads it back."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << (v - 1)
+    return mask
 
 
 def in_masks(adj: list[int]) -> list[int]:

@@ -189,17 +189,18 @@ def certify_optimality(g: GicStructure, exact_limit: int = CASE2_EXACT_LIMIT) ->
     never lies, but it is only as strong as the search.
     """
     d = g.digraph
-    adj = _cycles.out_masks(d)
-    non_inner_mask = 0
-    for v in g.non_inner:
-        non_inner_mask |= 1 << (v - 1)
-    if _cycles.is_acyclic_mask(adj, non_inner_mask):
+    if _is_case1(g):
         return OPTIMAL_CASE1
     if d.n > exact_limit:
         return UNKNOWN
     if _case2_decomposition(d, g.inner) is not None:
         return OPTIMAL_CASE2
     return UNKNOWN
+
+
+def _is_case1(g: GicStructure) -> bool:
+    """True iff the non-inner vertices of g induce an acyclic sub-digraph."""
+    return _cycles.is_acyclic_mask(_cycles.out_masks(g.digraph), _cycles.mask_of(g.non_inner))
 
 
 def _case2_decomposition(
@@ -217,11 +218,7 @@ def _case2_decomposition(
     """
     adj = _cycles.out_masks(d)
     full = (1 << d.n) - 1
-    non_inner_mask = 0
-    for v in d.vertices():
-        if v not in inner:
-            non_inner_mask |= 1 << (v - 1)
-    cycles = list(_cycles.chordless_cycles(adj, non_inner_mask))
+    cycles = list(_cycles.chordless_cycles(adj, full & ~_cycles.mask_of(inner)))
     if not cycles:
         return None
 
@@ -250,7 +247,7 @@ def _case2_decomposition(
             continue
         pool = full & ~family_mask
         for partition in _set_partitions(inner_sorted, groups_needed):
-            assignment = _assign_groups(d, adj, partition, pool, inner)
+            assignment = _assign_groups(d, partition, pool, inner)
             if assignment is not None:
                 return {
                     "cycles": [list(v + 1 for v in verts) for cm, verts in cycles if cm in family],
@@ -260,23 +257,15 @@ def _case2_decomposition(
 
 
 def _assign_groups(
-    d: Digraph,
-    adj: list[int],
-    partition: list[list[int]],
-    pool: int,
-    inner: VertexSet,
+    d: Digraph, partition: list[list[int]], pool: int, inner: VertexSet
 ) -> list[dict] | None:
-    inner_mask = 0
-    for v in inner:
-        inner_mask |= 1 << (v - 1)
+    inner_mask = _cycles.mask_of(inner)
 
     def grow(idx: int, avail: int, acc: list[dict]) -> list[dict] | None:
         if idx == len(partition):
             return acc
         group = partition[idx]
-        own_mask = 0
-        for v in group:
-            own_mask |= 1 << (v - 1)
+        own_mask = _cycles.mask_of(group)
         if own_mask & avail != own_mask:
             return None
         # the group may borrow non-inner vertices from the pool, never
@@ -293,17 +282,9 @@ def _assign_groups(
         sub, originals = induced_subgraph(d, members)
         local_inner = frozenset(originals.index(v) + 1 for v in group)
         result = validate_gic(sub, local_inner)
-        if isinstance(result, ViolationReport):
+        if isinstance(result, ViolationReport) or not _is_case1(result):
             return None
-        sub_adj = _cycles.out_masks(sub)
-        sub_non_inner = 0
-        for v in result.non_inner:
-            sub_non_inner |= 1 << (v - 1)
-        if not _cycles.is_acyclic_mask(sub_adj, sub_non_inner):
-            return None
-        used = 0
-        for v in members:
-            used |= 1 << (v - 1)
+        used = _cycles.mask_of(members)
         return grow(idx + 1, avail & ~used, acc + [{"inner": group, "vertices": list(members)}])
 
     return grow(0, pool, [])
@@ -336,10 +317,16 @@ def _set_partitions(items: list[int], blocks: int):
     yield from helper(rest, [[first]])
 
 
-def sandwich_check(d: Digraph, lengths: Mapping[str, float]) -> bool:
-    """True iff the acyclic lower bound is below every reported length."""
-    bound = mais(d)
-    return all(bound <= value for value in lengths.values())
+def sandwich_check(
+    bound: int, lengths: Mapping[str, float], rank: int | None = None
+) -> bool:
+    """True iff bound <= rank <= every reported length.
+
+    `bound` is the MAIS lower bound and `rank` the GF(2) minrank; with
+    no rank, the bound alone must be at most every length.
+    """
+    lower = bound if rank is None else rank
+    return bound <= lower and all(lower <= value for value in lengths.values())
 
 
 def conjecture_sweep(

@@ -20,6 +20,7 @@ from .bounds import (
     conjecture_sweep,
     mais,
     minrank_gf2,
+    sandwich_check,
 )
 from .codec import (
     MessageVector,
@@ -55,7 +56,7 @@ from .generators import (
     gen_random,
     gen_relay_family,
 )
-from .structure import InvalidStructureError, require_valid
+from .structure import InvalidStructureError, ViolationReport, require_valid, validate_gic
 
 EXHAUSTIVE_VERIFY_LIMIT = 20
 SWEEP_EXHAUSTIVE_LIMIT = 4
@@ -84,8 +85,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     d = _load_graph(args.graph)
     inner = _inner_arg(args)
     record: dict = {"command": "validate", "graph": args.graph, "inner": sorted(inner)}
-    from .structure import ViolationReport, validate_gic
-
     result = validate_gic(d, inner)
     if isinstance(result, ViolationReport):
         record["valid"] = False
@@ -224,71 +223,66 @@ def cmd_cover(args: argparse.Namespace) -> int:
     return _emit(args, _plan_lines(plan), record, 0)
 
 
-def _scheme_lengths(d: Digraph, seed: int) -> tuple[dict[str, float], CoverPlan]:
+def _bounds_report(d: Digraph, args: argparse.Namespace, minrank: bool) -> BoundsReport:
+    """MAIS, scheme lengths, minrank when asked, then the optimality verdict.
+
+    The order fixes which failure a user sees first: the MAIS size gate,
+    then an invalid --inner structure.
+    """
+    bound = mais(d)
     effort: int | str = "exhaustive" if d.n <= EXACT_COVER_LIMIT else DEFAULT_COVER_BUDGET
-    plan = gicc_cover(d, effort=effort, seed=seed)
+    plan = gicc_cover(d, effort=effort, seed=args.seed)
     lengths = {
         "gicc": float(plan.length),
         "cycle": float(cycle_cover_length(d)),
         "clique": float(clique_cover_length(d)),
     }
-    return lengths, plan
-
-
-def _verdict(d: Digraph, args: argparse.Namespace, plan: CoverPlan) -> str:
+    rank = minrank_gf2(d) if minrank else None
     if args.inner:
-        return certify_optimality(require_valid(d, parse_vertex_list(args.inner)))
-    if plan.psi == 1 and not plan.uncoded:
-        return certify_optimality(plan.parts[0].structure)
-    return UNKNOWN
+        verdict = certify_optimality(require_valid(d, _inner_arg(args)))
+    elif plan.psi == 1 and not plan.uncoded:
+        verdict = certify_optimality(plan.parts[0].structure)
+    else:
+        verdict = UNKNOWN
+    return BoundsReport(bound, rank, lengths, sandwich_check(bound, lengths, rank), verdict)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    d = _load_graph(args.graph)
-    bound = mais(d)
-    lengths, plan = _scheme_lengths(d, args.seed)
-    rank = minrank_gf2(d) if args.minrank else None
-    verdict = _verdict(d, args, plan)
-    sandwich = all(bound <= v for v in lengths.values())
-    if rank is not None:
-        sandwich = sandwich and bound <= rank <= min(lengths.values())
-    report = BoundsReport(bound, rank, lengths, sandwich, verdict)
+    report = _bounds_report(_load_graph(args.graph), args, args.minrank)
     record = {"command": "bounds", "graph": args.graph, **report.to_record()}
-    lines = [f"MAIS = {bound}"]
-    if rank is not None:
-        lines.append(f"minrank (GF(2)) = {rank}")
+    lines = [f"MAIS = {report.mais}"]
+    if report.minrank is not None:
+        lines.append(f"minrank (GF(2)) = {report.minrank}")
     lines.append(
         "scheme lengths: "
-        + " ".join(f"{name}={value:g}" for name, value in lengths.items())
+        + " ".join(f"{name}={value:g}" for name, value in report.scheme_lengths.items())
     )
-    lines.append(f"sandwich (MAIS <= lengths): {'ok' if sandwich else 'VIOLATED'}")
+    lines.append(f"sandwich (MAIS <= lengths): {'ok' if report.sandwich_ok else 'VIOLATED'}")
     lines.append(f"optimality: {report.optimality}")
-    return _emit(args, lines, record, 0 if sandwich else 1)
+    return _emit(args, lines, record, 0 if report.sandwich_ok else 1)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    d = _load_graph(args.graph)
-    bound = mais(d)
-    lengths, plan = _scheme_lengths(d, args.seed)
-    verdict = _verdict(d, args, plan)
-    sandwich = all(bound <= v for v in lengths.values())
+    report = _bounds_report(_load_graph(args.graph), args, minrank=False)
     record = {
         "command": "compare",
         "graph": args.graph,
-        "lengths": lengths,
-        "mais": bound,
-        "sandwich_ok": sandwich,
-        "optimality": verdict,
+        "lengths": report.scheme_lengths,
+        "mais": report.mais,
+        "sandwich_ok": report.sandwich_ok,
+        "optimality": report.optimality,
     }
     lines = [f"scheme lengths for {args.graph}:"]
-    for name in ("gicc", "cycle", "clique"):
-        lines.append(f"  {name:<7}{lengths[name]:g}")
-    lines.append(f"  {'MAIS':<7}{bound}")
-    if verdict != UNKNOWN:
-        lines.append(f"verdict: {verdict} (code length meets the MAIS lower bound)")
+    for name, value in report.scheme_lengths.items():
+        lines.append(f"  {name:<7}{value:g}")
+    lines.append(f"  {'MAIS':<7}{report.mais}")
+    if report.optimality != UNKNOWN:
+        lines.append(
+            f"verdict: {report.optimality} (code length meets the MAIS lower bound)"
+        )
     else:
         lines.append("verdict: unknown")
-    return _emit(args, lines, record, 0 if sandwich else 1)
+    return _emit(args, lines, record, 0 if report.sandwich_ok else 1)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -10,6 +10,7 @@ XOR is defined on exactly t bits.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -122,13 +123,18 @@ def xor_cost_bound(g: GicStructure, t: int) -> int:
     return t * ((g.k - 1) + non_inner_degree)
 
 
-def _symbols_by_owner(g: GicStructure, code: IndexCode) -> dict[int, CodedSymbol]:
+def _check_code(g: GicStructure, code: IndexCode) -> None:
     expected = g.digraph.n - g.k + 1
     if len(code.symbols) != expected:
         raise ValueError(f"expected {expected} symbols, got {len(code.symbols)}")
     if code.symbols[0].mask != g.inner:
         raise ValueError("first symbol mask is not the inner vertex set")
-    return {j: code.symbols[idx] for idx, j in enumerate(g.non_inner, start=1)}
+
+
+def _owned_symbol(code: IndexCode, inner_sorted: list[int], j: int) -> CodedSymbol:
+    # symbols follow the ascending non-inner vertices after the inner
+    # symbol, so j's index is j minus the inner vertices below it
+    return code.symbols[j - bisect_left(inner_sorted, j)]
 
 
 def _strip_side(
@@ -150,9 +156,11 @@ def decode_noninner(
     g: GicStructure, code: IndexCode, j: int, side: Mapping[int, int]
 ) -> int:
     """Recover x_j for a non-inner receiver from its own symbol."""
+    g.digraph._check_vertex(j)
     if j in g.inner:
         raise ValueError(f"vertex {j} is inner; use decode_inner")
-    symbol = _symbols_by_owner(g, code)[j]
+    _check_code(g, code)
+    symbol = _owned_symbol(code, sorted(g.inner), j)
     return _strip_side(j, set(symbol.mask), symbol.payload, side)
 
 
@@ -168,11 +176,12 @@ def decode_inner(
     """
     if i not in g.inner:
         raise ValueError(f"vertex {i} is not inner")
-    by_owner = _symbols_by_owner(g, code)
+    _check_code(g, code)
+    inner_sorted = sorted(g.inner)
     mask = set(code.symbols[0].mask)
     payload = code.symbols[0].payload
     for j in sorted(g.trees[i].vertices - g.inner):
-        symbol = by_owner[j]
+        symbol = _owned_symbol(code, inner_sorted, j)
         mask ^= set(symbol.mask)
         payload ^= symbol.payload
     return _strip_side(i, mask, payload, side)

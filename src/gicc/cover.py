@@ -74,11 +74,6 @@ class CoverPlan:
         return self.n - self.savings
 
 
-def savings(plan: CoverPlan) -> int:
-    """Messages saved versus sending everything uncoded: sum of (K_i - 1)."""
-    return plan.savings
-
-
 def plan_round_trip(plan: CoverPlan, m: MessageVector) -> bool:
     """True iff per-part codes plus uncoded messages let all receivers decode."""
     if m.n != plan.n:
@@ -197,9 +192,7 @@ def _cover_greedy(d: Digraph, budget: int, seed: int) -> CoverPlan:
 
     while len(remaining) >= 2:
         originals = tuple(sorted(remaining))
-        mask = 0
-        for v in originals:
-            mask |= 1 << (v - 1)
+        mask = _cycles.mask_of(originals)
         if _cycles.is_acyclic_mask(adj, mask):
             break
         found: CoverPart | None = None
@@ -351,6 +344,11 @@ def clique_cover_length(d: Digraph, exact_limit: int = EXACT_BASELINE_LIMIT) -> 
     order = sorted(range(n), key=lambda v: (-bin(conflict[v]).count("1"), v))
     if n <= exact_limit:
         return _chromatic_number(conflict, order)
+    return _first_fit_colors(conflict, order)
+
+
+def _first_fit_colors(conflict: list[int], order: list[int]) -> int:
+    """Colors used when each vertex in `order` takes the first class it fits."""
     classes: list[int] = []
     for v in order:
         for idx, cmask in enumerate(classes):
@@ -366,15 +364,7 @@ def _chromatic_number(conflict: list[int], order: list[int]) -> int:
     n = len(order)
 
     # greedy upper bound
-    classes: list[int] = []
-    for v in order:
-        for idx, cmask in enumerate(classes):
-            if conflict[v] & cmask == 0:
-                classes[idx] |= 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    best = len(classes)
+    best = _first_fit_colors(conflict, order)
 
     # greedy clique lower bound
     clique = 0

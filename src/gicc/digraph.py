@@ -10,7 +10,6 @@ module is pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -176,28 +175,6 @@ def induced_subgraph(d: Digraph, members: Iterable[int]) -> tuple[Digraph, tuple
         (local[t], local[h]) for (t, h) in d.arcs if t in local and h in local
     )
     return Digraph(len(originals), arcs), originals
-
-
-def topological_order(d: Digraph) -> tuple[int, ...] | None:
-    """A topological order of d, or None when d has a directed cycle."""
-    indeg = {v: 0 for v in d.vertices()}
-    for _, head in d.arcs:
-        indeg[head] += 1
-    queue = deque(sorted(v for v in d.vertices() if indeg[v] == 0))
-    order: list[int] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for u in d.out_sorted(v):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                queue.append(u)
-    return tuple(order) if len(order) == d.n else None
-
-
-def is_acyclic(d: Digraph) -> bool:
-    """True iff d contains no directed cycle."""
-    return topological_order(d) is not None
 
 
 def format_vertex_set(vs: Iterable[int]) -> str:

@@ -207,54 +207,29 @@ def build_tree(
     )
 
 
-def detect_i_cycles(d: Digraph, inner: Iterable[int]) -> VertexSet:
-    """Inner vertices lying on a cycle whose other vertices are all non-inner."""
-    inner_set = frozenset(inner)
-    if not inner_set:
-        raise ValueError("inner set must be nonempty")
-    non_inner = frozenset(d.vertices()) - inner_set
-    offending: set[int] = set()
-    for i in sorted(inner_set):
-        stack = [u for u in d.out_sorted(i) if u in non_inner]
-        seen = set(stack)
-        closed = False
-        while stack:
-            v = stack.pop()
+def _i_cycle_report(d: Digraph, inner: VertexSet) -> ViolationReport | None:
+    """Report the smallest inner vertex lying on an I-cycle, else None.
+
+    One breadth-first search per inner vertex i, ascending, through
+    non-inner vertices only; the witness is a shortest cycle through i
+    whose other vertices are all non-inner.
+    """
+    for i in sorted(inner):
+        queue = deque(u for u in d.out_sorted(i) if u not in inner)
+        parent = dict.fromkeys(queue, i)
+        while queue:
+            v = queue.popleft()
             for u in d.out_sorted(v):
                 if u == i:
-                    closed = True
-                    break
-                if u in non_inner and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-            if closed:
-                break
-        if closed:
-            offending.add(i)
-    return frozenset(offending)
-
-
-def _witness_i_cycle(d: Digraph, inner: VertexSet, i: int) -> tuple[int, ...]:
-    """Shortest cycle through i avoiding the other inner vertices, closed form."""
-    non_inner = frozenset(d.vertices()) - inner
-    parent: dict[int, int] = {}
-    queue = deque()
-    for u in d.out_sorted(i):
-        if u in non_inner and u not in parent:
-            parent[u] = i
-            queue.append(u)
-    while queue:
-        v = queue.popleft()
-        if d.has_arc(v, i):
-            path = [v]
-            while path[-1] != i:
-                path.append(parent[path[-1]])
-            return (i, *reversed(path[:-1]), i)
-        for u in d.out_sorted(v):
-            if u in non_inner and u not in parent:
-                parent[u] = v
-                queue.append(u)
-    raise AssertionError("witness requested for a vertex with no I-cycle")
+                    path = [v]
+                    while path[-1] != i:
+                        path.append(parent[path[-1]])
+                    cycle = [*reversed(path), i]
+                    return ViolationReport("i-cycle", {"inner_vertex": i, "cycle": cycle})
+                if u not in inner and u not in parent:
+                    parent[u] = v
+                    queue.append(u)
+    return None
 
 
 def walk_p_paths(
@@ -304,11 +279,13 @@ def validate_gic(d: Digraph, inner: Iterable[int]) -> GicStructure | ViolationRe
     finally coverage (every vertex and arc of d must appear in the tree
     union).
 
-    P-paths are checked by one walk_p_paths walk per root, roots in
-    ascending order.  The first root with a violation is reported: the
-    first target to gain a second P-path in the walk's lexicographic
-    order ("p-path-multiplicity"), else the smallest target without a
-    P-path ("inner-pair-unreachable").
+    An I-cycle is reported at the smallest inner vertex on one, with a
+    shortest such cycle as witness.  P-paths are checked by one
+    walk_p_paths walk per root, roots in ascending order.  The first
+    root with a violation is reported: the first target to gain a
+    second P-path in the walk's lexicographic order
+    ("p-path-multiplicity"), else the smallest target without a P-path
+    ("inner-pair-unreachable").
     """
     inner_set = frozenset(inner)
     if not inner_set:
@@ -316,15 +293,12 @@ def validate_gic(d: Digraph, inner: Iterable[int]) -> GicStructure | ViolationRe
     for v in inner_set:
         d._check_vertex(v)
 
+    report = _i_cycle_report(d, inner_set)
+    if report is not None:
+        return report
+
     if len(inner_set) == 1:
         root = next(iter(inner_set))
-        offenders = detect_i_cycles(d, inner_set)
-        if offenders:
-            i = min(offenders)
-            return ViolationReport(
-                "i-cycle",
-                {"inner_vertex": i, "cycle": list(_witness_i_cycle(d, inner_set, i))},
-            )
         if d.n == 1:
             return GicStructure(d, inner_set, {root: RootedTree(root, {}, {root: 0})})
         return ViolationReport(
@@ -333,14 +307,6 @@ def validate_gic(d: Digraph, inner: Iterable[int]) -> GicStructure | ViolationRe
                 "arcs": sorted(d.arcs),
                 "vertices": sorted(set(d.vertices()) - {root}),
             },
-        )
-
-    offenders = detect_i_cycles(d, inner_set)
-    if offenders:
-        i = min(offenders)
-        return ViolationReport(
-            "i-cycle",
-            {"inner_vertex": i, "cycle": list(_witness_i_cycle(d, inner_set, i))},
         )
 
     for root in sorted(inner_set):

@@ -16,7 +16,7 @@ from gicc.cover import (
     icc_to_gic,
     plan_round_trip,
 )
-from gicc.digraph import Digraph, induced_subgraph, is_acyclic
+from gicc.digraph import Digraph, induced_subgraph
 from gicc.generators import (
     DEMO_4GIC_REFERENCE_LENGTHS,
     gen_clique,
@@ -28,7 +28,7 @@ from gicc.generators import (
 )
 from gicc.structure import GicStructure, check_tree_consistency, require_valid, validate_gic
 
-from .oracles import all_simple_cycles
+from .oracles import all_simple_cycles, has_cycle_coloring
 
 
 @contextmanager
@@ -162,7 +162,7 @@ def test_criterion_8_property_sweep():
                     assert inner_hits == 0 or inner_hits >= 2
                 if g.non_inner:
                     sub, _ = induced_subgraph(g.digraph, g.non_inner)
-                    assert is_acyclic(sub)
+                    assert not has_cycle_coloring(sub)
                 roots = sorted(g.inner)
                 for a in roots:
                     for b in roots:

@@ -144,12 +144,12 @@ class TestSandwich:
             "cycle": cycle_cover_length(d),
             "clique": clique_cover_length(d),
         }
-        assert sandwich_check(d, lengths)
+        assert sandwich_check(mais(d), lengths)
         assert mais(d) == code_length(g)
 
     def test_arcless(self):
         d = Digraph(5, frozenset())
-        assert sandwich_check(d, {"uncoded": 5})
+        assert sandwich_check(mais(d), {"uncoded": 5})
         assert mais(d) == 5
 
     def test_random_sweep(self):
@@ -161,7 +161,14 @@ class TestSandwich:
                 "cycle": cycle_cover_length(d),
                 "clique": clique_cover_length(d),
             }
-            assert sandwich_check(d, lengths), (seed, lengths)
+            assert sandwich_check(mais(d), lengths), (seed, lengths)
+
+    def test_rank_sits_between_bound_and_lengths(self):
+        lengths = {"gicc": 5.0, "cycle": 6.0}
+        assert all(sandwich_check(3, lengths, rank) for rank in (3, 4, 5))
+        assert not sandwich_check(3, lengths, rank=2)  # below MAIS
+        assert not sandwich_check(3, lengths, rank=6)  # above the shortest length
+        assert not sandwich_check(6, lengths)  # MAIS above a length
 
     def test_bound_chain_with_minrank(self):
         for seed in range(25):

@@ -188,6 +188,12 @@ class TestDecodeNonInner:
         with pytest.raises(ValueError, match="inner"):
             decode_noninner(demo_structure, code, 1, {})
 
+    def test_rejects_receiver_outside_structure(self, demo_structure):
+        code = encode(demo_structure, MessageVector.zeros(6, 1))
+        for j in (0, -1, 7):
+            with pytest.raises(ValueError, match="out of range"):
+                decode_noninner(demo_structure, code, j, {})
+
 
 class TestDecodeInner:
     def test_demo_vertex2_uses_one_tree_symbol(self, demo_structure):

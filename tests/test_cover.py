@@ -9,7 +9,6 @@ from gicc.cover import (
     gicc_cover,
     icc_to_gic,
     plan_round_trip,
-    savings,
 )
 from gicc.digraph import Digraph
 from gicc.generators import (
@@ -48,7 +47,7 @@ class TestGiccCover:
     def test_two_digons_two_parts(self):
         for effort in ("exhaustive", 100):
             plan = gicc_cover(TWO_DIGONS, effort=effort)
-            assert plan.psi == 2 and plan.length == 2 and savings(plan) == 2
+            assert plan.psi == 2 and plan.length == 2 and plan.savings == 2
             assert {p.vertices for p in plan.parts} == {(1, 2), (3, 4)}
 
     def test_parts_are_disjoint_and_cover(self):
@@ -93,22 +92,22 @@ class TestGiccCover:
 class TestSavings:
     def test_demo(self):
         d, _ = gen_demo_4gic()
-        assert savings(gicc_cover(d, effort="exhaustive")) == 3
+        assert gicc_cover(d, effort="exhaustive").savings == 3
 
     def test_empty_plan(self):
         plan = gicc_cover(Digraph(5, frozenset()))
-        assert savings(plan) == 0
+        assert plan.savings == 0
 
     def test_family(self):
         d, _ = gen_relay_family(4)
         plan = gicc_cover(d, effort="exhaustive")
-        assert savings(plan) == 3 and plan.length == 7
+        assert plan.savings == 3 and plan.length == 7
 
     def test_savings_equals_n_minus_length(self, structure_pool):
         for seed in range(20):
             d = gen_random(8, 0.3, seed + 90)
             plan = gicc_cover(d, effort=150, seed=seed)
-            assert savings(plan) == d.n - plan.length
+            assert plan.savings == d.n - plan.length
 
 
 class TestPlanDecoding:
@@ -225,6 +224,11 @@ class TestCliqueCover:
     def test_greedy_mode(self):
         d = gen_clique(14)
         assert clique_cover_length(d, exact_limit=12) == 1
+
+    def test_greedy_never_beats_exact(self):
+        for seed in range(80):
+            d = gen_random(2 + seed % 11, 0.4 + 0.05 * (seed % 10), seed)
+            assert clique_cover_length(d, exact_limit=0) >= clique_cover_length(d)
 
     def test_exact_on_mixed_instance(self):
         # digons {1,2} and {3,4} plus isolated 5: three parts

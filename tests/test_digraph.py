@@ -7,17 +7,22 @@ from hypothesis import strategies as st
 from gicc.digraph import (
     Digraph,
     FormatError,
+    bits_of,
     induced_subgraph,
-    is_acyclic,
     out_neighbors,
     parse_digraph,
     serialize_digraph,
-    topological_order,
 )
+from gicc._cycles import is_acyclic_mask, mask_of, out_masks
 from gicc.generators import gen_demo_4gic, gen_relay_family
 from gicc.structure import walk_p_paths
 
-from .oracles import has_cycle_coloring, p_path_walk_expected, paths_with_interior
+from .oracles import (
+    has_cycle_coloring,
+    p_path_walk_expected,
+    paths_with_interior,
+    subset_acyclic,
+)
 
 DIGON = Digraph.from_arcs(2, [(1, 2), (2, 1)])
 
@@ -166,25 +171,30 @@ class TestInducedSubgraph:
 
 
 class TestAcyclicity:
+    """_cycles.is_acyclic_mask, the acyclicity test the library calls."""
+
     def test_digon_cyclic(self):
-        assert not is_acyclic(DIGON)
+        assert not is_acyclic_mask(out_masks(DIGON), 0b11)
 
     def test_arcless_acyclic(self):
-        assert is_acyclic(Digraph(4, frozenset()))
+        assert is_acyclic_mask(out_masks(Digraph(4, frozenset())), 0b1111)
 
     def test_family_non_inner_part_acyclic(self):
         d, inner = gen_relay_family(4)
-        sub, _ = induced_subgraph(d, set(d.vertices()) - inner)
-        assert is_acyclic(sub)
+        assert is_acyclic_mask(out_masks(d), mask_of(set(d.vertices()) - inner))
 
     def test_matches_dfs_oracle_on_random_instances(self):
+        rng = random.Random(5)
         for seed in range(200):
             d = random_digraph(2 + seed % 8, 0.05 + (seed % 10) * 0.08, seed)
-            assert is_acyclic(d) == (not has_cycle_coloring(d))
-            order = topological_order(d)
-            if order is not None:
-                position = {v: i for i, v in enumerate(order)}
-                assert all(position[t] < position[h] for (t, h) in d.arcs)
+            adj = out_masks(d)
+            full = (1 << d.n) - 1
+            assert is_acyclic_mask(adj, full) == (not has_cycle_coloring(d))
+            for _ in range(5):
+                mask = rng.randrange(full + 1)
+                members = frozenset(v + 1 for v in bits_of(mask))
+                assert mask_of(members) == mask
+                assert is_acyclic_mask(adj, mask) == subset_acyclic(d, members)
 
 
 class TestPathCounting:

@@ -6,7 +6,6 @@ from gicc.cover import clique_cover_length, cycle_cover_length, icc_to_gic
 from gicc.digraph import (
     Digraph,
     induced_subgraph,
-    is_acyclic,
     out_neighbors,
     serialize_digraph,
 )
@@ -64,7 +63,7 @@ class TestRelayFamily:
             d, inner = gen_relay_family(k)
             relays = set(d.vertices()) - inner
             sub, _ = induced_subgraph(d, relays)
-            assert not sub.arcs and is_acyclic(sub)
+            assert not sub.arcs
             assert certify_optimality(require_valid(d, inner)) == OPTIMAL_CASE1
 
     def test_no_digons_so_clique_cover_is_trivial(self):

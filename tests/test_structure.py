@@ -1,21 +1,27 @@
+import random
+
 import pytest
 
 from gicc.cover import icc_to_gic
-from gicc.digraph import Digraph, induced_subgraph, is_acyclic, out_neighbors
-from gicc.generators import gen_cycle, gen_demo_4gic, gen_icc, gen_relay_family
+from gicc.digraph import Digraph, induced_subgraph, out_neighbors
+from gicc.generators import gen_cycle, gen_demo_4gic, gen_icc, gen_random, gen_relay_family
 from gicc.structure import (
     GicStructure,
     TreeConstructionError,
     ViolationReport,
     build_tree,
     check_tree_consistency,
-    detect_i_cycles,
     require_valid,
     validate_gic,
     walk_p_paths,
 )
 
-from .oracles import all_simple_cycles, p_path_walk_expected, paths_with_interior
+from .oracles import (
+    all_simple_cycles,
+    has_cycle_coloring,
+    p_path_walk_expected,
+    paths_with_interior,
+)
 
 DIGON = Digraph.from_arcs(2, [(1, 2), (2, 1)])
 INNER4 = frozenset({1, 2, 3, 4})
@@ -93,15 +99,44 @@ class TestBuildTree:
 
 
 class TestDetectICycles:
+    """The I-cycle check inside validate_gic."""
+
     def test_demo_clean(self):
         d, _ = gen_demo_4gic()
-        assert detect_i_cycles(d, INNER4) == frozenset()
+        assert isinstance(validate_gic(d, INNER4), GicStructure)
 
     def test_three_cycle_single_inner(self):
-        assert detect_i_cycles(gen_cycle(3), {1}) == {1}
+        report = validate_gic(gen_cycle(3), {1})
+        assert report.kind == "i-cycle"
+        assert report.witness == {"inner_vertex": 1, "cycle": [1, 2, 3, 1]}
 
     def test_three_cycle_two_inner(self):
-        assert detect_i_cycles(gen_cycle(3), {1, 2}) == frozenset()
+        assert isinstance(validate_gic(gen_cycle(3), {1, 2}), GicStructure)
+
+    def test_matches_oracle_on_random_digraphs(self):
+        # an I-cycle through inner i is a cycle i -> ... -> i whose
+        # interior is non-inner; the smallest such i is reported, with a
+        # shortest such cycle as witness
+        rng = random.Random(17)
+        offending = 0
+        for seed in range(240):
+            n = 3 + seed % 6
+            d = gen_random(n, 0.15 + 0.05 * (seed % 5), seed)
+            inner = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            non_inner = frozenset(d.vertices()) - inner
+            cycles = {i: paths_with_interior(d, i, i, non_inner) for i in sorted(inner)}
+            offenders = [i for i, found in cycles.items() if found]
+            result = validate_gic(d, inner)
+            reported = isinstance(result, ViolationReport) and result.kind == "i-cycle"
+            assert reported == bool(offenders), (seed, sorted(inner))
+            if offenders:
+                offending += 1
+                i = offenders[0]
+                cycle = tuple(result.witness["cycle"])
+                assert result.witness["inner_vertex"] == i
+                assert cycle in cycles[i]
+                assert len(cycle) == min(len(c) for c in cycles[i])
+        assert offending >= 40
 
 
 class TestPPathUniqueness:
@@ -214,7 +249,6 @@ class TestValidate:
             d = g.digraph
             if g.k < 2:
                 continue
-            assert detect_i_cycles(d, g.inner) == frozenset()
             for root in g.inner:
                 assert walk_p_paths(d, g.inner, root) == g.inner - {root}
             covered = set()
@@ -276,7 +310,7 @@ class TestStructuralProperties:
             if not g.non_inner:
                 continue
             sub, _ = induced_subgraph(g.digraph, g.non_inner)
-            assert is_acyclic(sub)
+            assert not has_cycle_coloring(sub)
 
     def test_root_children_equal_out_neighborhood(self, structure_pool):
         for g in structure_pool[:80]:
